@@ -17,6 +17,7 @@ The report accumulates across this module's tests in definition order —
 run the whole file.
 """
 
+import asyncio
 import json
 import pathlib
 
@@ -29,7 +30,8 @@ from repro.serving.soak import (
     build_captures,
     build_pipeline,
     report_from_stats,
-    run_soak_sync,
+    run_streams,
+    soak_streams,
 )
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -46,14 +48,16 @@ def _soak():
     if _STATE:
         return _STATE["stats"], _STATE["report"]
     pipeline = build_pipeline(seed=0)
-    captures = build_captures(seed=1)
+    captures = dict(enumerate(build_captures(seed=1)))
     config = ServingConfig(check_liveness=False, max_sessions=_SESSIONS + 4)
-    stats = run_soak_sync(
-        pipeline,
-        captures,
-        sessions=_SESSIONS,
-        seconds=_SECONDS,
-        config=config,
+    stats = asyncio.run(
+        run_streams(
+            pipeline,
+            captures,
+            soak_streams(len(captures), _SESSIONS),
+            seconds=_SECONDS,
+            config=config,
+        )
     )
     report = report_from_stats(stats)
     _STATE["stats"] = stats

@@ -7,21 +7,14 @@ them (ROADMAP item 4).  Four attacker families ship as
 ``emit()``-compatible acoustic sources (:mod:`repro.attacks.models`),
 wrapped in seeded, sophistication-scaled scenarios
 (:mod:`repro.attacks.scenario`), rendered deterministically
-(:mod:`repro.attacks.corpus`) and armed via ``REPRO_ATTACKS_*`` env
-knobs or programmatically (:mod:`repro.attacks.control`).
+(:mod:`repro.attacks.corpus`), with one master switch
+(``REPRO_ATTACKS``, :mod:`repro.attacks.control`).
 
 The layer is strictly opt-in: with ``REPRO_ATTACKS`` unset nothing in
 any render or decision path changes, byte for byte.
 """
 
-from .control import (
-    active_attack,
-    attack_from_env,
-    attacks_enabled,
-    engaged,
-    set_attack_scenario,
-    set_attacks_enabled,
-)
+from .control import attacks_enabled, set_attacks_enabled
 from .corpus import ATTACK_LOCATIONS, attack_render_tasks, render_attack_captures
 from .models import (
     DirectionalHornReplay,
@@ -54,20 +47,16 @@ __all__ = [
     "PRESET_NAMES",
     "SOPHISTICATION_TIERS",
     "SpeakeARChannel",
-    "active_attack",
-    "attack_from_env",
     "attack_render_tasks",
     "attack_rng",
     "attack_stream_key",
     "attacks_enabled",
     "coordinated_mix",
-    "engaged",
     "eq_compensate",
     "horn_directivity",
     "preset_attack",
     "render_attack_captures",
     "rig_directivity",
-    "set_attack_scenario",
     "set_attacks_enabled",
     "speakear_capture",
 ]

@@ -258,8 +258,10 @@ def compare(baseline: dict, current: dict, max_regress_pct: float = 25.0) -> Com
     """Gate ``current`` against ``baseline``.
 
     Numeric gated metrics may regress by at most ``max_regress_pct``
-    percent in their worse direction; equivalence metrics must match
-    exactly; metrics present in the baseline must still exist.
+    percent in their worse direction — so a lower-is-better metric with
+    a zero baseline fails on any positive value; equivalence metrics
+    must match exactly; metrics present in the baseline must still
+    exist.
     """
     if max_regress_pct < 0:
         raise ValueError("max_regress_pct must be >= 0")
@@ -296,7 +298,7 @@ def compare(baseline: dict, current: dict, max_regress_pct: float = 25.0) -> Com
                 continue
             row["ratio"] = number / base_number if base_number else None
             direction = base.get("direction", "lower")
-            if base_number <= 0 or direction == "none":
+            if direction == "none":
                 row["status"] = "info"
             elif direction == "lower" and number > base_number * allowance:
                 row["status"] = "FAIL"

@@ -119,11 +119,6 @@ def _check_attack_label(source: str) -> None:
         )
 
 
-def _env_float(name: str, default: float) -> float:
-    """Positive-float env knob via the shared :mod:`.control` reader."""
-    return env_float(name, default, positive=True)
-
-
 def _env_edges(name: str, default: tuple) -> tuple:
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
@@ -188,19 +183,23 @@ class MonitorConfig:
     def from_env(cls) -> "MonitorConfig":
         """Defaults overridden by ``REPRO_MONITOR_*`` (malformed → warn once)."""
         base = cls()
-        window = int(_env_float("REPRO_MONITOR_WINDOW", base.window))
+        window = int(env_float("REPRO_MONITOR_WINDOW", base.window, positive=True))
         return cls(
-            reference_size=int(_env_float("REPRO_MONITOR_REFERENCE", base.reference_size)),
+            reference_size=int(
+                env_float("REPRO_MONITOR_REFERENCE", base.reference_size, positive=True)
+            ),
             window=window,
             # A window below the default min_window must shrink the
             # minimum too, or small-window configs silently never run
             # the PSI/KS tests at all.
             min_window=min(base.min_window, window),
             histogram_bins=base.histogram_bins,
-            psi_threshold=_env_float("REPRO_MONITOR_PSI", base.psi_threshold),
-            ks_coefficient=_env_float("REPRO_MONITOR_KS", base.ks_coefficient),
-            ph_delta_sigma=_env_float("REPRO_MONITOR_PH_DELTA", base.ph_delta_sigma),
-            ph_lambda_sigma=_env_float("REPRO_MONITOR_PH_LAMBDA", base.ph_lambda_sigma),
+            psi_threshold=env_float("REPRO_MONITOR_PSI", base.psi_threshold, positive=True),
+            ks_coefficient=env_float("REPRO_MONITOR_KS", base.ks_coefficient, positive=True),
+            ph_delta_sigma=env_float("REPRO_MONITOR_PH_DELTA", base.ph_delta_sigma, positive=True),
+            ph_lambda_sigma=env_float(
+                "REPRO_MONITOR_PH_LAMBDA", base.ph_lambda_sigma, positive=True
+            ),
             calibration_window=base.calibration_window,
             calibration_bins=base.calibration_bins,
             angle_edges=_env_edges("REPRO_MONITOR_ANGLE_EDGES", base.angle_edges),

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from threading import Lock
@@ -41,37 +40,16 @@ import numpy as np
 from ..acoustics.directivity import DirectivityModel
 from ..acoustics.image_source import RirConfig, render_band_rirs
 from ..acoustics.room import Room
+from ..obs.control import env_int
 from ..obs.metrics import counter_inc
 
 DEFAULT_RIR_ENTRIES = 64
 DEFAULT_DRY_ENTRIES = 128
 
 
-_WARNED_ENV: set[str] = set()
-
-
 def _env_entries(name: str, default: int) -> int:
-    """Cache size from the environment; malformed values warn once.
-
-    Matches the convention of the other ``REPRO_*`` knobs
-    (``obs.control``, ``faults.control``, ``REPRO_RENDER_WORKERS``):
-    a typo must not silently resize a cache.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        if name not in _WARNED_ENV:
-            _WARNED_ENV.add(name)
-            warnings.warn(
-                f"{name}={raw!r} is not an integer; using default {default}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return default
-    return max(0, value)
+    """Cache size from the environment (malformed values warn once, negatives clamp to 0)."""
+    return max(0, env_int(name, default))
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Asyncio client helpers: stream a capture through a running gateway.
 
-These are the building blocks the tests, the soak harness, and any
+These are the building blocks the tests, the load driver, and any
 offline replay use to drive the wire protocol from the client side:
 open a connection, stream one utterance chunk by chunk, collect the
 pushed ``early`` event (if any) and the final ``decision`` event.
@@ -8,7 +8,8 @@ pushed ``early`` event (if any) and the final ``decision`` event.
 ``stream_capture`` is the one-shot convenience (connect, one utterance,
 close); ``open_session`` / ``stream_utterance`` keep a connection open
 so one simulated device can speak many utterances in sequence, which is
-what the soak does.
+what the one load loop (:func:`repro.serving.soak.run_streams`) does for
+both of its callers, the soak and the city drive.
 """
 
 from __future__ import annotations

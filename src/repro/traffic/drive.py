@@ -6,7 +6,9 @@ model, so mechanical sources actually reject), renders the capture
 bank, generates the seeded Poisson event stream and replays it through
 a live :class:`~repro.serving.gateway.ServingGateway` over the
 JSON-lines TCP protocol — one client connection per (household,
-device), events dispatched strictly in event-time order.
+device), events dispatched strictly in event-time order.  The client
+loop is the soak's (:func:`repro.serving.soak.run_streams`), fed the
+city as its one stream.
 
 Every ``end`` op carries the event's scenario ground truth and slice
 labels (``source=...``, ``room=...``), so the process-global
@@ -21,7 +23,12 @@ On completion the CLI writes ``QUALITY_<name>.json`` (the monitor
 snapshot, schema ``repro.obs.monitor/1``) plus a machine-readable
 summary, and exits nonzero on any correctness failure:
 
-- a streamed fingerprint differing from its precomputed batch verdict;
+- everything the soak fails on
+  (:func:`~repro.serving.soak.stream_problems`): a streamed
+  fingerprint differing from its precomputed batch verdict, nothing
+  verified, transport errors, an early verdict flip, or tail-dropped
+  samples;
+- fewer than ``--min-events`` decisions;
 - the server's per-source confusion disagreeing with the client's
   (counted independently from the wire replies);
 - ``--expect-quiet``: any drift alarm on stationary traffic;
@@ -37,11 +44,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
-import json
 import os
 import sys
-import time
-from collections import OrderedDict
 
 import numpy as np
 
@@ -62,15 +66,17 @@ from ..experiments.common import fit_detector
 from ..obs.control import set_obs_enabled
 from ..obs.monitor import MonitorConfig, monitor_snapshot, reset_monitor, write_quality_report
 from ..serving.config import ServingConfig
-from ..serving.gateway import ServingGateway
-from ..serving.replay import close_session, open_session, stream_utterance
-from ..serving.soak import StepClock, _json_fingerprint
+from ..serving.soak import (
+    MAX_OPEN_CONNECTIONS,
+    Utterance,
+    finish_cli,
+    latency_percentiles,
+    run_streams,
+    stream_problems,
+)
 from .city import TrafficEvent, generate_city
 from .config import SOURCES, TrafficConfig
 from .sources import CaptureBank
-
-MAX_OPEN_CONNECTIONS = 128
-"""Device connections kept open at once (LRU beyond this, bounding fds)."""
 
 DRIFT_DETECTORS = frozenset({"psi", "ks", "page-hinkley"})
 
@@ -154,17 +160,6 @@ def build_pipeline(seed: int = 0, hardened: bool = False) -> HeadTalkPipeline:
     return HeadTalkPipeline(array=array, liveness=gate, orientation=detector)
 
 
-def _percentiles(values) -> dict:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-    return {
-        "p50_ms": float(np.percentile(arr, 50)),
-        "p95_ms": float(np.percentile(arr, 95)),
-        "p99_ms": float(np.percentile(arr, 99)),
-    }
-
-
 async def run_city(
     pipeline: HeadTalkPipeline,
     bank: CaptureBank,
@@ -172,11 +167,11 @@ async def run_city(
     *,
     config: ServingConfig | None = None,
     chunk_samples: int = 16384,
-    max_open: int = MAX_OPEN_CONNECTIONS,
 ) -> dict:
     """Replay ``events`` through a live gateway; returns raw drive stats.
 
-    Dispatch is strictly serial in event-time order over per-device
+    The city is one stream for :func:`~repro.serving.soak.run_streams`:
+    dispatch is strictly serial in event-time order over per-device
     connections (kept in a bounded LRU).  Serial order makes the
     monitor's score streams — and so the drift detectors — functions of
     the seed alone, which is what lets CI assert alarms exactly.
@@ -184,95 +179,23 @@ async def run_city(
     config = config or ServingConfig()
     devices = {(e.household, e.device) for e in events}
     config = dataclasses.replace(
-        config, max_sessions=max(config.max_sessions, min(len(devices), max_open) + 8)
+        config, max_sessions=max(config.max_sessions, min(len(devices), MAX_OPEN_CONNECTIONS) + 8)
     )
-    expected = {
-        key: _json_fingerprint(pipeline.evaluate(capture, config.check_liveness))
-        for key, capture in sorted(bank.captures.items())
-    }
-    # Those verdict pre-evaluations fed the global monitor's score
-    # streams (unlabelled); reset so the measured state — including the
-    # drift reference window — comes from city traffic alone.
-    reset_monitor()
-    clock = StepClock(pipeline.config.session_seconds + 1.0)
-    gateway = ServingGateway(pipeline, config, clock=clock)
-    await gateway.start()
-    host, port = gateway.address
-
+    stream = [
+        Utterance((e.household, e.device), e.key, e.source, e.truth, e.slices())
+        for e in events
+    ]
     # Attack labels appear only on attack-mix days; keying off the
     # events keeps clean-day summaries identical to pre-attack runs.
     labels = list(SOURCES) + sorted({e.source for e in events} - set(SOURCES))
-    per_source = {
-        source: {"n": 0, "tp": 0, "fp": 0, "tn": 0, "fn": 0, "latencies_ms": []}
-        for source in labels
-    }
-    stats = {
-        "events": len(events),
-        "decisions": 0,
-        "errors": 0,
-        "fingerprint_mismatches": 0,
-        "early_exits": 0,
-        "latencies_ms": [],
-        "per_source": per_source,
-    }
-    connections: OrderedDict = OrderedDict()
-
-    async def connection(key):
-        if key in connections:
-            connections.move_to_end(key)
-            return connections[key]
-        if len(connections) >= max_open:
-            _, (_, old_writer) = connections.popitem(last=False)
-            await close_session(old_writer)
-        reader, writer, hello = await open_session(host, port)
-        if "error" in hello:
-            writer.close()
-            raise ConnectionError(f"gateway refused connection: {hello}")
-        connections[key] = (reader, writer)
-        return connections[key]
-
-    started = time.perf_counter()
-    try:
-        for event in events:
-            key = (event.household, event.device)
-            try:
-                reader, writer = await connection(key)
-                out = await stream_utterance(
-                    reader,
-                    writer,
-                    bank.captures[event.key],
-                    chunk_samples=chunk_samples,
-                    truth=event.truth,
-                    slices=event.slices(),
-                )
-            except (ConnectionError, OSError):
-                stats["errors"] += 1
-                connections.pop(key, None)
-                continue
-            decision = out["decision"]
-            if decision is None:
-                stats["errors"] += 1
-                continue
-            stats["decisions"] += 1
-            stats["latencies_ms"].append(decision["wall_ms"])
-            if decision["early"]:
-                stats["early_exits"] += 1
-            if decision["fingerprint"] != expected[event.key]:
-                stats["fingerprint_mismatches"] += 1
-            tally = per_source[event.source]
-            tally["n"] += 1
-            tally["latencies_ms"].append(decision["wall_ms"])
-            accepted = bool(decision["accepted"])
-            if event.truth:
-                tally["tp" if accepted else "fn"] += 1
-            else:
-                tally["fp" if accepted else "tn"] += 1
-    finally:
-        stats["elapsed_s"] = time.perf_counter() - started
-        for reader, writer in connections.values():
-            await close_session(writer)
-        await gateway.stop()
-    return stats
+    return await run_streams(
+        pipeline,
+        bank.captures,
+        [stream],
+        config=config,
+        chunk_samples=chunk_samples,
+        sources=tuple(labels),
+    )
 
 
 def run_city_sync(pipeline, bank, events, **kwargs) -> dict:
@@ -289,7 +212,7 @@ def summary_from_stats(stats: dict, snapshot: dict | None = None) -> dict:
         "fingerprint_mismatches": stats["fingerprint_mismatches"],
         "early_exit_fraction": stats["early_exits"] / max(stats["decisions"], 1),
         "events_per_sec": stats["decisions"] / max(stats["elapsed_s"], 1e-9),
-        **_percentiles(stats["latencies_ms"]),
+        **latency_percentiles(stats["latencies_ms"]),
         "sources": {},
     }
     for source, tally in sorted(stats["per_source"].items()):
@@ -299,7 +222,7 @@ def summary_from_stats(stats: dict, snapshot: dict | None = None) -> dict:
             "n": tally["n"],
             "far": tally["fp"] / negatives if negatives else 0.0,
             "frr": tally["fn"] / positives if positives else 0.0,
-            **_percentiles(tally["latencies_ms"]),
+            **latency_percentiles(tally["latencies_ms"]),
         }
     if snapshot:
         summary["alarms"] = snapshot.get("alarms", [])
@@ -315,12 +238,13 @@ def drive_problems(
     expect_alarms: bool = False,
     min_events: int = 0,
 ) -> list[str]:
-    """Hard-failure conditions a CI drive must exit nonzero on."""
-    problems = []
-    if stats["fingerprint_mismatches"]:
-        problems.append(f"{stats['fingerprint_mismatches']} fingerprint mismatch(es)")
-    if stats["errors"]:
-        problems.append(f"{stats['errors']} transport error(s)")
+    """Hard-failure conditions a CI drive must exit nonzero on.
+
+    :func:`~repro.serving.soak.stream_problems` (the soak's gate) plus
+    the city's own: too few decisions, client/server confusion
+    disagreement, and the drift-alarm expectations.
+    """
+    problems = stream_problems(stats)
     if min_events and stats["decisions"] < min_events:
         problems.append(f"only {stats['decisions']} decisions (< {min_events} required)")
     if snapshot and not stats["errors"]:
@@ -459,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
         path = write_quality_report(args.name, directory=args.out, snapshot=snapshot)
         print(f"quality report -> {path}", file=sys.stderr)
 
-    summary = summary_from_stats(stats, snapshot)
     problems = drive_problems(
         stats,
         snapshot,
@@ -467,18 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         expect_alarms=args.expect_alarms,
         min_events=args.min_events,
     )
-    summary["problems"] = problems
-    summary["ok"] = not problems
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if problems:
-        for problem in problems:
-            print(f"DRIVE FAILURE: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return finish_cli(summary_from_stats(stats, snapshot), problems, args.json_out, "DRIVE")
 
 
 if __name__ == "__main__":

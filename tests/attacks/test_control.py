@@ -7,12 +7,8 @@ from repro.attacks import (
     AttackScenario,
     PRESET_NAMES,
     SOPHISTICATION_TIERS,
-    active_attack,
-    attack_from_env,
     attacks_enabled,
-    engaged,
     preset_attack,
-    set_attack_scenario,
     set_attacks_enabled,
 )
 
@@ -57,68 +53,10 @@ class TestControlPlumbing:
     def _restore(self):
         yield
         set_attacks_enabled(False)
-        set_attack_scenario(None)
 
     def test_disabled_by_default(self):
         assert not attacks_enabled()
-        assert active_attack() is None
-
-    def test_engaged_restores_state(self):
-        scenario = preset_attack("horn-replay")
-        with engaged(scenario):
-            assert attacks_enabled()
-            assert active_attack() is scenario
-        assert not attacks_enabled()
-        assert active_attack() is None
-
-    def test_engaged_none_arms_without_scenario(self):
-        with engaged(None):
-            assert attacks_enabled()
-            assert active_attack() is None
 
     def test_env_enables_layer(self, monkeypatch):
         monkeypatch.setenv("REPRO_ATTACKS", "1")
         assert attacks_enabled()
-
-    def test_env_scenario(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTACKS_SCENARIO", "tdoa-replay")
-        monkeypatch.setenv("REPRO_ATTACKS_SOPHISTICATION", "3.0")
-        monkeypatch.setenv("REPRO_ATTACKS_SEED", "9")
-        scenario = attack_from_env()
-        assert isinstance(scenario, AttackScenario)
-        assert scenario.name == "tdoa-replay@3"
-        assert scenario.sophistication == 3.0
-        assert scenario.seed == 9
-        set_attacks_enabled(True)
-        assert active_attack() == scenario
-
-    def test_no_env_scenario_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ATTACKS_SCENARIO", raising=False)
-        assert attack_from_env() is None
-
-    def test_unknown_env_scenario_warns_once_and_arms_nothing(self, monkeypatch):
-        from repro.obs import control
-
-        monkeypatch.setenv("REPRO_ATTACKS_SCENARIO", "frobnicate")
-        monkeypatch.setattr(control, "_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="frobnicate"):
-            assert attack_from_env() is None
-        # Second call is silent (warn-once).
-        assert attack_from_env() is None
-
-    def test_malformed_sophistication_warns_and_defaults(self, monkeypatch):
-        from repro.obs import control
-
-        monkeypatch.setenv("REPRO_ATTACKS_SCENARIO", "speakear")
-        monkeypatch.setenv("REPRO_ATTACKS_SOPHISTICATION", "lots")
-        monkeypatch.setattr(control, "_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="REPRO_ATTACKS_SOPHISTICATION"):
-            scenario = attack_from_env()
-        assert scenario.name == "speakear@1"
-
-    def test_programmatic_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTACKS_SCENARIO", "eq-replay")
-        override = preset_attack("speakear", seed=2)
-        set_attacks_enabled(True)
-        set_attack_scenario(override)
-        assert active_attack() is override

@@ -108,14 +108,17 @@ class TestRenderDeterminism:
         assert not np.array_equal(a.channels, b.channels)
 
     def test_default_off_leaves_clean_renders_untouched(self):
-        """With the layer disarmed, ordinary dataset renders are unchanged."""
-        from repro.attacks import attacks_enabled, engaged
+        """Arming the layer alone leaves ordinary dataset renders unchanged."""
+        from repro.attacks import attacks_enabled, set_attacks_enabled
         from repro.datasets.collection import render_tasks
         from tests.runtime.test_runtime import SPEC
 
         tasks = [task for _, task in render_tasks(SPEC)]
         baseline = render_captures(tasks[:1], workers=1)[0]
         assert not attacks_enabled()
-        with engaged(_scenario()):
+        set_attacks_enabled(True)
+        try:
             armed = render_captures(tasks[:1], workers=1)[0]
+        finally:
+            set_attacks_enabled(False)
         assert np.array_equal(baseline.channels, armed.channels)

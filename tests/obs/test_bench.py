@@ -134,6 +134,19 @@ class TestCompare:
         assert outcome.passed
         assert any(row["status"] == "new" for row in outcome.rows)
 
+    def test_zero_baseline_gates_any_regression(self):
+        """A perfect (0.0) lower-is-better baseline fails on any rise."""
+
+        def attacks(eer_pct):
+            report = BenchReport("attacks", env={"cpu_count": 1}, created=1000.0)
+            report.add_metric("attacks.tier1_hardened_eer_pct", eer_pct, kind="ratio")
+            return report.to_dict()
+
+        assert compare(attacks(0.0), attacks(0.0), 50.0).passed
+        outcome = compare(attacks(0.0), attacks(50.0), 50.0)
+        assert not outcome.passed
+        assert "attacks.tier1_hardened_eer_pct" in outcome.failures[0]
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             compare(_report(), _report(), -1.0)

@@ -100,10 +100,11 @@ class TestSerialParallelEquivalence:
     def test_malformed_env_warns_once_and_falls_back(self, monkeypatch):
         import warnings
 
+        from repro.obs import control
         from repro.runtime import batch
 
         monkeypatch.setenv("REPRO_RENDER_WORKERS", "two")
-        monkeypatch.setattr(batch, "_WARNED_BAD_WORKERS", False)
+        monkeypatch.setattr(control, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="REPRO_RENDER_WORKERS='two'"):
             assert batch.default_workers() == 1
         # The warning is one-time: later calls stay silent (and serial).
@@ -277,9 +278,10 @@ class TestShmDispatch:
 
 class TestCacheEnvParsing:
     def test_malformed_cache_size_warns_once_and_falls_back(self, monkeypatch):
+        from repro.obs import control
         from repro.runtime import cache as cache_mod
 
-        monkeypatch.setattr(cache_mod, "_WARNED_ENV", set())
+        monkeypatch.setattr(control, "_WARNED", set())
         monkeypatch.setenv("REPRO_RIR_CACHE_ENTRIES", "lots")
         with pytest.warns(RuntimeWarning, match="REPRO_RIR_CACHE_ENTRIES"):
             assert cache_mod._env_entries("REPRO_RIR_CACHE_ENTRIES", 64) == 64

@@ -8,7 +8,7 @@ from repro.obs import monitor as obs_monitor
 from repro.obs.live import LiveConfig
 from repro.obs.monitor import decision_monitor, monitor_snapshot
 from repro.serving import ServingConfig, ServingGateway
-from repro.serving.soak import StepClock, _StepClock
+from repro.serving.soak import StepClock, stream_problems
 from repro.traffic import CaptureBank, TrafficConfig, generate_city
 from repro.traffic.drive import (
     TRAFFIC_PSI_THRESHOLD,
@@ -77,15 +77,25 @@ class TestRunCity:
             assert f"sources.{label}.far" in gated
             assert f"sources.{label}.frr" in gated
 
-    def test_drive_problem_gates(self):
+    @staticmethod
+    def _clean_run():
+        """Stats and snapshot of a five-decision run that passes every gate."""
         stats = {
+            "clients": 1,
             "events": 5,
             "decisions": 5,
             "errors": 0,
+            "connections": 1,
+            "fingerprint_matches": 5,
             "fingerprint_mismatches": 0,
             "early_exits": 0,
+            "early_flips": 0,
+            "dropped_samples": 0,
             "elapsed_s": 1.0,
             "latencies_ms": [1.0] * 5,
+            "frames_to_decision": [18] * 5,
+            "frames_to_decision_rejected": [],
+            "frames_seen": [18] * 5,
             "per_source": {
                 "live-facing": {
                     "n": 5, "tp": 5, "fp": 0, "tn": 0, "fn": 0,
@@ -97,6 +107,10 @@ class TestRunCity:
             "sources": {"live-facing": {"tp": 5, "fp": 0, "tn": 0, "fn": 0, "n": 5}},
             "alarms": [],
         }
+        return stats, snapshot
+
+    def test_drive_problem_gates(self):
+        stats, snapshot = self._clean_run()
         assert drive_problems(stats, snapshot, expect_quiet=True) == []
         # --expect-alarms without any alarm names the missing detectors.
         problems = drive_problems(stats, snapshot, expect_alarms=True)
@@ -119,8 +133,43 @@ class TestRunCity:
         broken["sources"] = {"live-facing": {"tp": 4, "fp": 1, "tn": 0, "fn": 0}}
         assert drive_problems(stats, broken) != []
 
+    def test_every_failure_kind_fails_the_shared_gate(self):
+        """Each failure kind alone fails the merged soak + drive gate."""
+        stats, snapshot = self._clean_run()
+        assert stream_problems(stats) == []
+        assert drive_problems(stats, snapshot, min_events=5) == []
+
+        broken_stats = {
+            "fingerprint mismatch": {"fingerprint_mismatches": 1, "fingerprint_matches": 4},
+            "nothing verified": {"fingerprint_matches": 0},
+            "transport error": {"errors": 1},
+            "early flip": {"early_flips": 1},
+            "tail-dropped samples": {"dropped_samples": 7},
+        }
+        for kind, override in broken_stats.items():
+            broken = {**stats, **override}
+            assert stream_problems(broken), kind
+            assert drive_problems(broken, snapshot), kind
+
+        mismatched = dict(snapshot)
+        mismatched["sources"] = {"live-facing": {"tp": 4, "fp": 0, "tn": 0, "fn": 1}}
+        alarmed = dict(snapshot)
+        alarmed["alarms"] = [{"detector": "psi", "stream": "liveness_score"}]
+        drive_only = {
+            "min-events": drive_problems(stats, snapshot, min_events=6),
+            "confusion round-trip mismatch": drive_problems(stats, mismatched),
+            "alarm on expected-quiet traffic": drive_problems(
+                stats, alarmed, expect_quiet=True
+            ),
+            "detectors missing on expected-alarm traffic": drive_problems(
+                stats, alarmed, expect_alarms=True
+            ),
+            "no snapshot to check alarms": drive_problems(stats, None, expect_quiet=True),
+        }
+        for kind, problems in drive_only.items():
+            assert problems, kind
+
     def test_step_clock_exported_with_back_compat_alias(self):
-        assert StepClock is _StepClock
         clock = StepClock(10.0)
         assert clock() == 10.0 and clock() == 20.0
 
