@@ -80,6 +80,10 @@ def test_bench_serving_soak(benchmark, record_result):
     to_reject = report.metrics["serving.median_frames_to_rejection"]["value"]
     seen = float(np.median(np.asarray(stats["frames_seen"], dtype=float)))
     assert to_reject < seen
+    # Frames-to-rejection is deterministic (no wall clock in it): the
+    # committed soak baseline's 6 frames is a strict ceiling, which the
+    # wall-clock --max-regress of the report gate would not enforce.
+    assert to_reject <= 6.0
 
     record_result(
         ExperimentResult(

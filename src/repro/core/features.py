@@ -226,26 +226,39 @@ class OrientationFeatureExtractor:
     def _validated_channels(self, audio: DenoisedAudio) -> np.ndarray:
         return _validated_channels(audio, self.array, self.max_lag)
 
-    def extract(self, audio: DenoisedAudio) -> np.ndarray:
-        """Feature vector for one denoised utterance."""
-        with span("features.extract"):
-            plan = plan_for(self.array)
-            channels = _validated_channels(audio, self.array, plan.max_lag)
-            with span("features.gcc"):
-                gcc = pairwise_gcc(channels, plan.pair_list, plan.max_lag)
-            return self._finalize(audio, gcc)
+    def gcc(self, audio: DenoisedAudio) -> np.ndarray:
+        """Whole-utterance per-pair GCC-PHAT windows of one denoised capture.
 
-    def array_cues(self, audio: DenoisedAudio) -> dict:
+        The correlation pass that :meth:`extract` and :meth:`array_cues`
+        both read; a caller that needs both computes it once and passes
+        it to each.
+        """
+        plan = plan_for(self.array)
+        channels = _validated_channels(audio, self.array, plan.max_lag)
+        with span("features.gcc"):
+            return pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+
+    def extract(self, audio: DenoisedAudio, gcc: np.ndarray | None = None) -> np.ndarray:
+        """Feature vector for one denoised utterance.
+
+        ``gcc`` is :meth:`gcc` of the same ``audio`` when the caller
+        already has it.
+        """
+        with span("features.extract"):
+            return self._finalize(audio, self.gcc(audio) if gcc is None else gcc)
+
+    def array_cues(self, audio: DenoisedAudio, gcc: np.ndarray | None = None) -> dict:
         """Multi-channel liveness-confidence cues for one utterance.
 
         Returns ``{"tdoa_coherence", "directivity_consistency"}`` — the
         array-side half of the hardened fusion decision
         (:class:`repro.core.liveness.FusedLivenessDetector`).  Computed
-        from the same GCC pass the orientation features use.
+        from the same GCC pass the orientation features use; ``gcc`` is
+        :meth:`gcc` of the same ``audio`` when the caller already has it.
         """
         plan = plan_for(self.array)
-        channels = _validated_channels(audio, self.array, plan.max_lag)
-        gcc = pairwise_gcc(channels, plan.pair_list, plan.max_lag)
+        if gcc is None:
+            gcc = self.gcc(audio)
         return {
             "tdoa_coherence": tdoa_coherence(gcc, plan.pair_list, plan.max_lag),
             "directivity_consistency": directivity_consistency(audio),

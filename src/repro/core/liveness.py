@@ -354,12 +354,13 @@ class FusedLivenessDetector:
         cues = self.cue_scores(waveforms, sample_rate)
         return (1.0 - cue_share) * net + cue_share * cues
 
-    def fused_scores(self, audios: list, extractor=None) -> np.ndarray:
+    def fused_scores(self, audios: list, extractor=None, gccs: list | None = None) -> np.ndarray:
         """Fused scores over :class:`~repro.core.preprocessing.DenoisedAudio`.
 
         With an :class:`~repro.core.features.OrientationFeatureExtractor`
         the array-side cues join the blend (the four-cue decision);
-        without one this is the single-channel path.
+        without one this is the single-channel path.  ``gccs`` optionally
+        carries each audio's precomputed ``extractor.gcc`` windows.
         """
         if not audios:
             return np.zeros(0)
@@ -376,7 +377,10 @@ class FusedLivenessDetector:
         array_cues = np.asarray(
             [
                 0.7 * cue["tdoa_coherence"] + 0.3 * cue["directivity_consistency"]
-                for cue in (extractor.array_cues(a) for a in audios)
+                for cue in (
+                    extractor.array_cues(a, None if gccs is None else gccs[k])
+                    for k, a in enumerate(audios)
+                )
             ],
             dtype=float,
         )

@@ -219,13 +219,19 @@ class HeadTalkPipeline:
             health=health,
         )
 
-    def _liveness_score(self, audio: DenoisedAudio) -> float:
+    @property
+    def fused_liveness(self) -> bool:
+        """Whether liveness reads the multi-channel array cues too."""
+        return hasattr(self.liveness, "fused_scores")
+
+    def _liveness_score(self, audio: DenoisedAudio, gcc: np.ndarray | None = None) -> float:
         # A fused detector gets the full multi-channel audio so the
         # array-side cues (TDoA coherence, directivity consistency) join
         # the blend; the plain detector sees the reference channel only.
-        fused = getattr(self.liveness, "fused_scores", None)
-        if fused is not None:
-            return float(fused([audio], self.extractor)[0])
+        # ``gcc`` is the extractor's GCC of ``audio``, when already known.
+        if self.fused_liveness:
+            gccs = None if gcc is None else [gcc]
+            return float(self.liveness.fused_scores([audio], self.extractor, gccs)[0])
         return float(self.liveness.scores([audio.reference], audio.sample_rate)[0])
 
     def _facing_probability(self, features: np.ndarray) -> float:
@@ -373,10 +379,15 @@ class HeadTalkPipeline:
 
         liveness_score = 1.0
         liveness_ms = 0.0
+        gcc = None
         if check_liveness:
             with span("pipeline.liveness"):
                 start = time.perf_counter()
-                liveness_score = self._liveness_score(audio)
+                if self.fused_liveness and not degraded:
+                    # The array cues and the orientation features read
+                    # the same whole-utterance GCC: correlate once.
+                    gcc = self.extractor.gcc(audio)
+                liveness_score = self._liveness_score(audio, gcc)
                 liveness_ms = (time.perf_counter() - start) * 1000.0
             if not np.isfinite(liveness_score):
                 return self._degraded_decision(
@@ -404,8 +415,10 @@ class HeadTalkPipeline:
             try:
                 if degraded:
                     features = self.extractor.extract_masked(audio, healthy)
-                else:
+                elif gcc is None:
                     features = self.extractor.extract(audio)
+                else:
+                    features = self.extractor.extract(audio, gcc)
                 facing_probability = self._orientation_probability(features)
             except _FEATURE_ERRORS as error:
                 orientation_ms = (time.perf_counter() - start) * 1000.0

@@ -200,10 +200,42 @@ def preprocess(
     reference_channel = 0
     if health is not None and health.healthy and 0 not in health.healthy:
         reference_channel = health.healthy[0]
+    return _trim_and_normalize(
+        filtered, capture.sample_rate, reference_channel, vad_threshold, normalize, dtype, health
+    )
+
+
+def preprocess_reference(
+    capture: Capture, vad_threshold: float = 0.05, dtype=None
+) -> DenoisedAudio:
+    """:func:`preprocess` of channel 0 alone: a one-channel ``DenoisedAudio``.
+
+    Band-passes, VAD-trims and peak-normalizes only the reference
+    channel, without screening, at a quarter of the filtering cost on a
+    4-mic array.  When screening would flag nothing, the output is
+    :func:`preprocess`'s reference channel up to one scale factor (its
+    own peak instead of the loudest channel's), which consumers that
+    normalize their input — the liveness network's unit-variance input
+    — ignore.  The streaming decider's early checks use it while
+    mid-stream screening has cast no vote.
+    """
+    with span("preprocess.bandpass"):
+        filtered = headtalk_bandpass(capture.sample_rate).apply(capture.channels[:1])
+    return _trim_and_normalize(filtered, capture.sample_rate, 0, vad_threshold, True, dtype)
+
+
+def _trim_and_normalize(
+    filtered: np.ndarray,
+    sample_rate: int,
+    reference_channel: int,
+    vad_threshold: float,
+    normalize: bool,
+    dtype,
+    health: ChannelHealth | None = None,
+) -> DenoisedAudio:
+    """VAD-trim band-passed channels on one reference, then peak-normalize."""
     with span("preprocess.vad"):
-        activity = detect_activity(
-            filtered[reference_channel], capture.sample_rate, vad_threshold
-        )
+        activity = detect_activity(filtered[reference_channel], sample_rate, vad_threshold)
     had_speech = activity.is_speech
     if had_speech:
         filtered = filtered[:, activity.start : activity.end]
@@ -213,7 +245,7 @@ def preprocess(
             filtered = filtered / peak
     return DenoisedAudio(
         channels=filtered.astype(resolve_dtype(dtype), copy=False),
-        sample_rate=capture.sample_rate,
+        sample_rate=sample_rate,
         had_speech=had_speech,
         health=health,
     )

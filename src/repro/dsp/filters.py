@@ -10,9 +10,23 @@ room simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
+
+
+@lru_cache(maxsize=64)
+def _butter_sos(order: int, low_hz: float, high_hz: float, sample_rate: int) -> np.ndarray:
+    """Band-pass Butterworth sections, designed once per (order, edges, fs).
+
+    The cached array stays writable: ``scipy.signal.sosfilt`` passes it
+    to a typed memoryview that refuses read-only buffers.  Callers must
+    not modify it.
+    """
+    return sps.butter(
+        order, [low_hz, high_hz], btype="bandpass", fs=sample_rate, output="sos"
+    )
 
 
 @dataclass(frozen=True)
@@ -48,13 +62,7 @@ class BandpassFilter:
             raise ValueError("order must be >= 1")
 
     def _sos(self) -> np.ndarray:
-        return sps.butter(
-            self.order,
-            [self.low_hz, self.high_hz],
-            btype="bandpass",
-            fs=self.sample_rate,
-            output="sos",
-        )
+        return _butter_sos(self.order, self.low_hz, self.high_hz, self.sample_rate)
 
     def apply(self, audio: np.ndarray) -> np.ndarray:
         """Filter forward-backward (zero phase) along the last axis."""

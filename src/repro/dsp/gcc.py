@@ -90,7 +90,15 @@ def _lag_window(corr: np.ndarray, max_lag: int) -> np.ndarray:
 
 def _phat_correlate(spectra_a: np.ndarray, spectra_b: np.ndarray, n_fft: int, max_lag: int, fft) -> np.ndarray:
     """Whitened cross-spectrum -> lag window, over any batch shape."""
-    cross = spectra_a * np.conj(spectra_b)
+    return _phat_window(spectra_a * np.conj(spectra_b), n_fft, max_lag, fft)
+
+
+def _phat_window(cross: np.ndarray, n_fft: int, max_lag: int, fft) -> np.ndarray:
+    """PHAT-whiten a raw cross-spectrum *in place* -> lag window.
+
+    Works over any batch shape.  Zeroed bins stay zero, so masking bins
+    beforehand band-limits the correlation.
+    """
     cross /= np.abs(cross) + _PHAT_REGULARIZATION
     corr = fft.irfft(cross, n_fft, axis=-1)
     return _lag_window(corr, max_lag)
@@ -382,17 +390,40 @@ def pairwise_gcc_framewise(
     ``(n_frames, len(pairs), 2 * max_lag + 1)`` array.
     """
     dtype = resolve_dtype(dtype)
+    cross, n_fft = framewise_cross_spectra(frames, pairs, max_lag, dtype=dtype)
+    if cross.shape[0] == 0:
+        return np.zeros((0, len(pairs), 2 * max_lag + 1), dtype=dtype)
+    return _phat_window(cross, n_fft, max_lag, fft_api(dtype))
+
+
+def framewise_cross_spectra(
+    frames: np.ndarray,
+    pairs: list[tuple[int, int]],
+    max_lag: int,
+    dtype=None,
+) -> tuple[np.ndarray, int]:
+    """Raw per-frame, per-pair cross-spectra of already-extracted frames.
+
+    The first half of :func:`pairwise_gcc_framewise`: every frame x
+    channel spectrum in one batched ``rfft``, then ``X_i * conj(X_j)``
+    per pair, before PHAT whitening.  Cross-spectra are additive over
+    frames, so a streaming caller can keep their running sum and whiten
+    it once for an utterance-level correlation.
+
+    Returns
+    -------
+    ``(cross, n_fft)``: a ``(n_frames, len(pairs), n_fft // 2 + 1)``
+    complex array and the transform length it was taken at.
+    """
+    dtype = resolve_dtype(dtype)
     x = np.asarray(frames, dtype=dtype)
     if x.ndim != 3:
         raise ValueError(f"frames must be (n_frames, n_mics, frame_length), got {x.shape}")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     _validate_pairs(pairs, x.shape[1])
-    if x.shape[0] == 0:
-        return np.zeros((0, len(pairs), 2 * max_lag + 1), dtype=dtype)
     n_fft = _fft_length(2 * x.shape[2], max_lag)
+    spectra = fft_api(dtype).rfft(x, n_fft, axis=-1)  # (n_frames, n_mics, nf)
     i_idx = np.array([i for i, _ in pairs])
     j_idx = np.array([j for _, j in pairs])
-    fft = fft_api(dtype)
-    spectra = fft.rfft(x, n_fft, axis=-1)  # (n_frames, n_mics, nf)
-    return _phat_correlate(spectra[:, i_idx], spectra[:, j_idx], n_fft, max_lag, fft)
+    return spectra[:, i_idx] * np.conj(spectra[:, j_idx]), n_fft

@@ -114,3 +114,49 @@ class TestDecisions:
         assert not decision.accepted
         assert decision.reason == REJECT_DEGRADED_INPUT
         assert decision.detail.startswith("sample-rate:")
+
+
+class TestHardenedGccOnce:
+    """The fused detector's array cues and the orientation features share
+    one whole-utterance GCC pass."""
+
+    @pytest.fixture(scope="class")
+    def hardened(self, trained_pipeline):
+        import dataclasses
+
+        from repro.core import FusedLivenessDetector
+
+        return dataclasses.replace(
+            trained_pipeline, liveness=FusedLivenessDetector(base=trained_pipeline.liveness)
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["forward_capture", "backward_capture", "side_capture", "replay_capture"]
+    )
+    def test_one_pairwise_gcc_per_decision(self, request, hardened, monkeypatch, name):
+        import repro.core.features as features
+        from repro.core import preprocess
+
+        capture = request.getfixturevalue(name)
+        calls = []
+        original = features.pairwise_gcc
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(features, "pairwise_gcc", counted)
+        decision = hardened.evaluate(capture)
+        assert len(calls) == 1
+        if name == "forward_capture":
+            assert decision.reason == ACCEPT  # reached orientation
+
+        # Unchanged scores: each consumer computing its own GCC gives
+        # the same floats.
+        audio = preprocess(capture)
+        extractor = hardened.extractor
+        liveness = float(hardened.liveness.fused_scores([audio], extractor)[0])
+        facing = hardened._orientation_probability(extractor.extract(audio))
+        assert decision.liveness_score == liveness
+        if decision.reason in (ACCEPT, REJECT_NON_FACING):
+            assert decision.facing_probability == facing

@@ -40,6 +40,17 @@ class TestBandpass:
         assert out.shape == stacked.shape
         assert rms(out[0]) > 10 * rms(out[1])
 
+    def test_design_is_cached_and_stays_writable(self):
+        from scipy import signal as sps
+
+        first = BandpassFilter(100, 16_000, 48_000)._sos()
+        assert BandpassFilter(100, 16_000, 48_000)._sos() is first
+        # sosfilt hands the sections to a memoryview that needs a writable buffer.
+        assert first.flags.writeable
+        expected = sps.butter(5, [100, 16_000], btype="bandpass", fs=48_000, output="sos")
+        assert np.array_equal(first, expected)
+        assert BandpassFilter(200, 16_000, 48_000)._sos() is not first
+
     def test_short_signal_falls_back_to_causal(self):
         bp = BandpassFilter(100, 16_000, 48_000)
         out = bp.apply(np.ones(8))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsp import (
     FrameFeed,
@@ -116,6 +118,43 @@ class TestGccAccumulator:
         assert acc.n_frames == 0
         assert np.array_equal(acc.mean_gcc(), np.zeros((1, 17)))
         assert acc.srp_argmax_lag() == -8  # argmax of zeros is index 0
+
+    def test_band_gcc_needs_a_frame(self):
+        acc = GccAccumulator(2, [(0, 1)], 8, 1024, 1024)
+        acc.push(RNG.standard_normal((2, 1000)))
+        with pytest.raises(ValueError):
+            acc.band_gcc(48_000, (100.0, 16_000.0))
+
+    @given(
+        sizes=st.lists(st.integers(1, 7000), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_band_gcc_is_one_whitening_of_the_summed_cross_spectra(self, sizes, seed):
+        fs, frame, band = 48_000, 2048, (100.0, 16_000.0)
+        x = np.random.default_rng(seed).standard_normal((4, 15_000))
+        acc = GccAccumulator(4, self.PAIRS, self.MAX_LAG, frame, frame)
+        for chunk in _chunks(x, sizes):
+            acc.push(chunk)
+
+        frames = extract_frames(x, frame, frame, pad=False)
+        n_fft = 4096
+        spectra = np.fft.rfft(frames, n_fft, axis=-1)
+        cross = sum(
+            spectra[:, [i for i, _ in self.PAIRS]] * np.conj(spectra[:, [j for _, j in self.PAIRS]])
+        )
+        freqs = np.fft.rfftfreq(n_fft, 1.0 / fs)
+        cross[:, (freqs < band[0]) | (freqs > band[1])] = 0.0
+        corr = np.fft.irfft(cross / (np.abs(cross) + 1e-12), n_fft, axis=-1)
+        expected = np.concatenate(
+            [corr[:, -self.MAX_LAG :], corr[:, : self.MAX_LAG + 1]], axis=1
+        )
+        assert np.allclose(acc.band_gcc(fs, band), expected, rtol=1e-9, atol=1e-12)
+
+        # The per-frame correlation sum the SRP-lag gate reads still holds.
+        whole = pairwise_gcc_frames(x, self.PAIRS, self.MAX_LAG, frame, frame, pad=False)
+        assert acc.n_frames == whole.shape[0]
+        assert np.allclose(acc.mean_gcc(), whole.mean(axis=0), rtol=1e-9, atol=1e-12)
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
