@@ -49,7 +49,7 @@ Two invariants keep early exit sound:
   outcome.
 
 Hysteresis guards the early checks: a rejection fires only after
-``consecutive`` successive checks land below threshold minus margin,
+:data:`CONSECUTIVE` successive checks land below threshold minus margin,
 and only while the accumulated SRP peak lag is stable between checks
 (orientation evidence still moving means the frame sum has not settled
 — don't trust a prefix score built on it).
@@ -90,7 +90,25 @@ DEFAULT_FRAME_LENGTH = 2048
 """Analysis frame in samples (~43 ms at 48 kHz)."""
 
 DEFAULT_HOP_LENGTH = 2048
-"""Non-overlapping frames by default: each sample is judged once."""
+"""Non-overlapping frames: each sample is judged once."""
+
+MIN_FRAMES = 4
+"""Frames accumulated before the first early check."""
+
+CHECK_EVERY = 2
+"""Frames between early checks."""
+
+CONSECUTIVE = 2
+"""Successive below-margin checks before an early rejection fires."""
+
+FACING_MARGIN = 0.10
+"""Early non-facing rejection needs ``facing_threshold - FACING_MARGIN``."""
+
+LIVENESS_MARGIN = 0.25
+"""Early mechanical rejection needs ``liveness_threshold - LIVENESS_MARGIN``.
+
+The two margins are the safety band that keeps borderline prefixes
+from rejecting utterances the full capture would accept."""
 
 MIN_SCREEN_SAMPLES = 512
 """Chunks shorter than this skip per-chunk health screening (too noisy)."""
@@ -106,7 +124,9 @@ margin, the framewise screen (:meth:`StreamingDecider._screen_probability`)
 peaked at 0.749: 76 of 1,145 checks over the traffic simulator's clean
 (36) and attack (60) archetypes, plain and fused gates, 2048- and
 16384-sample chunks.  On the soak's six captures it peaked at 0.542.
-0.8 keeps a margin above both."""
+0.8 keeps a margin above both.  The measurement holds only at the frame,
+hop, cadence and margin constants above: changing any of them means
+measuring the peak again."""
 
 
 @dataclass(frozen=True)
@@ -215,18 +235,6 @@ class StreamingDecider:
     check_liveness:
         Forwarded to the final ``evaluate`` and mirrored by the early
         checks (liveness strikes are skipped when off).
-    frame_length, hop_length:
-        Evidence frame geometry, in samples.
-    min_frames:
-        Frames required before the first early check.
-    check_every:
-        Frames between early checks.
-    consecutive:
-        Below-margin checks required before an early rejection fires.
-    facing_margin, liveness_margin:
-        Early rejection needs the score below ``threshold - margin`` —
-        the safety band that keeps borderline prefixes from rejecting
-        utterances the full capture would accept.
     buffer:
         Optional sample store (see :class:`_GrowBuffer` for the
         protocol); the serving layer passes its bounded ring.
@@ -244,13 +252,6 @@ class StreamingDecider:
         pipeline: HeadTalkPipeline,
         *,
         check_liveness: bool = True,
-        frame_length: int = DEFAULT_FRAME_LENGTH,
-        hop_length: int = DEFAULT_HOP_LENGTH,
-        min_frames: int = 4,
-        check_every: int = 2,
-        consecutive: int = 2,
-        facing_margin: float = 0.10,
-        liveness_margin: float = 0.25,
         buffer=None,
         call: str = "streaming",
         session_id: str = "",
@@ -258,20 +259,9 @@ class StreamingDecider:
         truth: bool | None = None,
         slices: dict | None = None,
     ):
-        if min_frames < 1 or check_every < 1 or consecutive < 1:
-            raise ValueError("min_frames, check_every and consecutive must be >= 1")
-        if facing_margin < 0 or liveness_margin < 0:
-            raise ValueError("margins must be >= 0")
         self.pipeline = pipeline
         self.plan = plan_for(pipeline.array)
         self.check_liveness = bool(check_liveness)
-        self.frame_length = int(frame_length)
-        self.hop_length = int(hop_length)
-        self.min_frames = int(min_frames)
-        self.check_every = int(check_every)
-        self.consecutive = int(consecutive)
-        self.facing_margin = float(facing_margin)
-        self.liveness_margin = float(liveness_margin)
         self.call = call
         self.session_id = session_id
         self.utterance_id = utterance_id
@@ -283,8 +273,8 @@ class StreamingDecider:
             n_mics,
             self.plan.pair_list,
             self.plan.max_lag,
-            self.frame_length,
-            self.hop_length,
+            DEFAULT_FRAME_LENGTH,
+            DEFAULT_HOP_LENGTH,
         )
         self.buffer = _GrowBuffer(n_mics) if buffer is None else buffer
         self.early: EarlyVerdict | None = None
@@ -344,8 +334,8 @@ class StreamingDecider:
         n_frames = self.accumulator.n_frames
         if (
             new_frames
-            and n_frames >= self.min_frames
-            and n_frames - self._last_check_frame >= self.check_every
+            and n_frames >= MIN_FRAMES
+            and n_frames - self._last_check_frame >= CHECK_EVERY
         ):
             return self._early_check(n_frames)
         return None
@@ -464,7 +454,7 @@ class StreamingDecider:
         if not stable and self.checks > 1:
             return None
 
-        prefix_samples = n_frames * self.hop_length
+        prefix_samples = n_frames * DEFAULT_HOP_LENGTH
         if prefix_samples < self.plan.min_samples:
             return None
         prefix = Capture(
@@ -492,9 +482,9 @@ class StreamingDecider:
                     score = self.pipeline._liveness_score(audio)
                 except _FEATURE_ERRORS:
                     return None
-                if np.isfinite(score) and score < config.liveness_threshold - self.liveness_margin:
+                if np.isfinite(score) and score < config.liveness_threshold - LIVENESS_MARGIN:
                     self._liveness_strikes += 1
-                    if self._liveness_strikes >= self.consecutive:
+                    if self._liveness_strikes >= CONSECUTIVE:
                         return self._fire(REJECT_MECHANICAL, score=score)
                     # Mirror the batch stage order: a liveness strike
                     # short-circuits the orientation check this round.
@@ -515,9 +505,9 @@ class StreamingDecider:
                 probability = self.pipeline._orientation_probability(features)
             except _FEATURE_ERRORS:
                 return None
-            if probability < config.facing_threshold - self.facing_margin:
+            if probability < config.facing_threshold - FACING_MARGIN:
                 self._facing_strikes += 1
-                if self._facing_strikes >= self.consecutive:
+                if self._facing_strikes >= CONSECUTIVE:
                     return self._fire(REJECT_NON_FACING, score=probability)
             else:
                 self._facing_strikes = 0

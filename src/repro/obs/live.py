@@ -50,7 +50,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .control import env_float, env_int, obs_enabled
+from .control import env_int, obs_enabled
 from .metrics import REGISTRY
 from .monitor import slo_monitor
 
@@ -66,7 +66,8 @@ _REQUEST_TIMEOUT_S = 5.0
 
 @dataclass(frozen=True)
 class LiveConfig:
-    """Sidecar tunables; :meth:`from_env` reads the ``REPRO_LIVE_*`` knobs.
+    """Sidecar tunables; :meth:`from_env` reads ``REPRO_LIVE_HOST`` and
+    ``REPRO_LIVE_PORT`` (the probe interval is set in code only).
 
     Malformed values warn once and fall back to the defaults (shared
     :mod:`repro.obs.control` readers).
@@ -81,7 +82,6 @@ class LiveConfig:
         return cls(
             host=os.environ.get("REPRO_LIVE_HOST") or cls.host,
             port=env_int("REPRO_LIVE_PORT", cls.port),
-            probe_interval_s=env_float("REPRO_LIVE_PROBE_S", cls.probe_interval_s, positive=True),
         )
 
 

@@ -49,11 +49,10 @@ log::
 tolerance in percentage points (exit 1 on regression, mirroring
 ``python -m repro.obs.bench --compare``).
 
-Drift thresholds and slice-bucket edges are env-tunable
-(``REPRO_MONITOR_PSI``, ``REPRO_MONITOR_KS``, ``REPRO_MONITOR_PH_DELTA``,
-``REPRO_MONITOR_PH_LAMBDA``, ``REPRO_MONITOR_ANGLE_EDGES``, ...); a
-malformed override warns once (`RuntimeWarning`) and falls back to the
-default instead of silently misconfiguring the monitor.
+Drift thresholds, window sizes and slice-bucket edges are
+:class:`MonitorConfig` fields set in code, not environment knobs; a
+caller that needs other values (the traffic drive's PSI level) passes
+its own config to :func:`reset_monitor`.
 
 Module imports stay stdlib-only like the rest of :mod:`repro.obs`;
 numpy enters only lazily through :mod:`repro.ml.calibration` when an
@@ -74,7 +73,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audit import audit_record
-from .control import env_float, env_int, env_truthy, obs_enabled
+from .control import env_float, env_truthy, obs_enabled
 from .control import warn_once as _warn_once
 from .metrics import WindowedCounter, counter_inc, gauge_set
 
@@ -119,24 +118,6 @@ def _check_attack_label(source: str) -> None:
         )
 
 
-def _env_edges(name: str, default: tuple) -> tuple:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        edges = tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        edges = ()
-    if not edges or any(not math.isfinite(e) for e in edges) or list(edges) != sorted(set(edges)):
-        _warn_once(
-            name,
-            f"ignoring {name}={raw!r} (expected strictly increasing comma-separated "
-            f"numbers); using {default}",
-        )
-        return default
-    return edges
-
-
 @dataclass(frozen=True)
 class MonitorConfig:
     """Tunables for the decision-quality monitor.
@@ -179,33 +160,13 @@ class MonitorConfig:
     distance_edges: tuple = (2.0, 4.0)
     snr_edges: tuple = (5.0, 15.0)
 
-    @classmethod
-    def from_env(cls) -> "MonitorConfig":
-        """Defaults overridden by ``REPRO_MONITOR_*`` (malformed → warn once)."""
-        base = cls()
-        window = int(env_float("REPRO_MONITOR_WINDOW", base.window, positive=True))
-        return cls(
-            reference_size=int(
-                env_float("REPRO_MONITOR_REFERENCE", base.reference_size, positive=True)
-            ),
-            window=window,
-            # A window below the default min_window must shrink the
-            # minimum too, or small-window configs silently never run
-            # the PSI/KS tests at all.
-            min_window=min(base.min_window, window),
-            histogram_bins=base.histogram_bins,
-            psi_threshold=env_float("REPRO_MONITOR_PSI", base.psi_threshold, positive=True),
-            ks_coefficient=env_float("REPRO_MONITOR_KS", base.ks_coefficient, positive=True),
-            ph_delta_sigma=env_float("REPRO_MONITOR_PH_DELTA", base.ph_delta_sigma, positive=True),
-            ph_lambda_sigma=env_float(
-                "REPRO_MONITOR_PH_LAMBDA", base.ph_lambda_sigma, positive=True
-            ),
-            calibration_window=base.calibration_window,
-            calibration_bins=base.calibration_bins,
-            angle_edges=_env_edges("REPRO_MONITOR_ANGLE_EDGES", base.angle_edges),
-            distance_edges=_env_edges("REPRO_MONITOR_DISTANCE_EDGES", base.distance_edges),
-            snr_edges=_env_edges("REPRO_MONITOR_SNR_EDGES", base.snr_edges),
-        )
+    def __post_init__(self) -> None:
+        # PSI and KS run only once the rolling window holds min_window
+        # scores; a window that can never get there disables both.
+        if self.min_window > self.window:
+            raise ValueError(
+                f"min_window ({self.min_window}) must not exceed window ({self.window})"
+            )
 
 
 def _fmt_edge(value: float) -> str:
@@ -235,7 +196,7 @@ def slices_from_meta(meta, ambient_db_spl=None, config: MonitorConfig | None = N
     ``UtteranceMeta`` carries source loudness only — so it appears only
     when ``ambient_db_spl`` is supplied.
     """
-    config = config or MonitorConfig.from_env()
+    config = config or MonitorConfig()
     if isinstance(meta, dict):
         get = meta.get
     else:
@@ -601,7 +562,7 @@ class DecisionMonitor:
     """
 
     def __init__(self, config: MonitorConfig | None = None) -> None:
-        self.config = config or MonitorConfig.from_env()
+        self.config = config or MonitorConfig()
         self._lock = threading.Lock()
         self.reset()
 
@@ -863,32 +824,16 @@ class SloTracker:
 
 
 def default_slo_rules() -> tuple[SloRule, ...]:
-    """The serving SLOs, with every knob env-tunable (``REPRO_LIVE_SLO_*``).
+    """The serving SLOs at the :class:`SloRule` defaults.
 
-    Malformed overrides warn once and fall back per knob (shared
-    :mod:`.control` readers).
+    Only the latency threshold is env-tunable
+    (``REPRO_LIVE_SLO_P95_MS``); a malformed value warns once and falls
+    back (shared :mod:`.control` readers).
     """
-    budget = env_float("REPRO_LIVE_SLO_BUDGET", DEFAULT_SLO_BUDGET, positive=True)
-    burn = env_float("REPRO_LIVE_SLO_BURN", 1.0, positive=True)
-    fast_s = env_float("REPRO_LIVE_SLO_FAST_S", 60.0, positive=True)
-    slow_s = env_float("REPRO_LIVE_SLO_SLOW_S", 300.0, positive=True)
-    min_events = env_int("REPRO_LIVE_SLO_MIN_EVENTS", 20)
-    common = dict(
-        budget=budget,
-        fast_window_s=fast_s,
-        slow_window_s=slow_s,
-        burn_threshold=burn,
-        min_events=min_events,
-    )
+    threshold_ms = env_float("REPRO_LIVE_SLO_P95_MS", DEFAULT_SLO_LATENCY_MS, positive=True)
     return (
-        SloRule(
-            "serving.latency_p95",
-            threshold_ms=env_float(
-                "REPRO_LIVE_SLO_P95_MS", DEFAULT_SLO_LATENCY_MS, positive=True
-            ),
-            **common,
-        ),
-        SloRule("serving.fail_closed", threshold_ms=None, **common),
+        SloRule("serving.latency_p95", threshold_ms=threshold_ms),
+        SloRule("serving.fail_closed", threshold_ms=None),
     )
 
 

@@ -86,17 +86,9 @@ class DeviceSession:
         self.utterance_id = f"{self.session_id}-u{self.utterances + 1:04d}"
         gated = self.controller.needs_gate(now)
         if gated:
-            cfg = self.config
             self.decider = StreamingDecider(
                 self.pipeline,
-                check_liveness=cfg.check_liveness,
-                frame_length=cfg.frame_length,
-                hop_length=cfg.hop_length,
-                min_frames=cfg.min_frames,
-                check_every=cfg.check_every,
-                consecutive=cfg.consecutive,
-                facing_margin=cfg.facing_margin,
-                liveness_margin=cfg.liveness_margin,
+                check_liveness=self.config.check_liveness,
                 buffer=self.ring,
                 call="serving",
                 session_id=self.session_id,
@@ -154,23 +146,17 @@ class DeviceSession:
                 decider.slices = slices
                 result = decider.finish()
                 event = self.controller.on_wake_decision(result.decision, now)
-            elif self.controller.needs_gate(now):
-                # Gating became necessary while the stream was in flight
-                # (e.g. a voice command entered HeadTalk mode): judge the
-                # buffered capture whole — no early evidence was kept.
+            else:
+                # Ungated at wake.  If gating became necessary while the
+                # stream was in flight (e.g. a voice command entered
+                # HeadTalk mode) the controller judges the buffered
+                # capture whole, with the labels; otherwise it routes the
+                # wake without evaluating and the labels go unused.
                 capture = Capture(
                     channels=self.ring.snapshot(),
                     sample_rate=self.pipeline.array.sample_rate,
                 )
                 event = self.controller.on_wake_word(capture, now, truth=truth, slices=slices)
-            else:
-                event = self.controller.on_wake_word(
-                    Capture(
-                        channels=self.ring.snapshot(),
-                        sample_rate=self.pipeline.array.sample_rate,
-                    ),
-                    now,
-                )
             self.last_result = result
             wall_ms = (time.perf_counter() - self._wake_started) * 1000.0
             decision = result.decision if result is not None else event.decision

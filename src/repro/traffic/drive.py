@@ -35,8 +35,9 @@ summary, and exits nonzero on any correctness failure:
 - ``--expect-alarms``: PSI, KS and Page–Hinkley *not all* firing on a
   ``--shift`` run (the seeded mid-day mix shift).
 
-``REPRO_TRAFFIC_*`` env knobs seed the defaults; explicit CLI flags
-win over the environment.
+The CLI flags are the drive's only input: a flag left out keeps the
+:class:`~repro.traffic.config.TrafficConfig` default, and an invalid
+value exits 2 with the config's message before anything is built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
-import os
 import sys
 
 import numpy as np
@@ -85,16 +85,12 @@ DRIFT_DETECTORS = frozenset({"psi", "ks", "page-hinkley"})
 # stationary 200-household days the liveness-stream PSI brushes the
 # single-stream 0.25 alert level (observed max ~ 0.251) from window
 # composition alone.  The drive alerts at 0.40 — far above composition
-# noise, far below the mix-shift signal — unless REPRO_MONITOR_PSI is
-# set explicitly.
+# noise, far below the mix-shift signal.
 TRAFFIC_PSI_THRESHOLD = 0.40
 
 
 def _traffic_monitor_config() -> MonitorConfig:
-    config = MonitorConfig.from_env()
-    if "REPRO_MONITOR_PSI" not in os.environ:
-        config = dataclasses.replace(config, psi_threshold=TRAFFIC_PSI_THRESHOLD)
-    return config
+    return MonitorConfig(psi_threshold=TRAFFIC_PSI_THRESHOLD)
 
 
 # The orientation training slice spans the distances city traffic
@@ -283,9 +279,8 @@ def drive_problems(
 
 
 def _cli_config(args) -> TrafficConfig:
-    """Env-seeded config with explicit CLI flags layered on top."""
-    config = TrafficConfig.from_env()
-    overrides = {
+    """The city the flags describe; a flag not given keeps its default."""
+    flags = {
         "households": args.households,
         "seed": args.seed,
         "hours": args.hours,
@@ -296,15 +291,15 @@ def _cli_config(args) -> TrafficConfig:
         "attack_mix": args.attack_mix,
         "attack_sophistication": args.attack_sophistication,
     }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    flags = {k: v for k, v in flags.items() if v is not None}
     if args.rooms:
-        overrides["rooms"] = tuple(part.strip() for part in args.rooms.split(","))
+        flags["rooms"] = tuple(part.strip() for part in args.rooms.split(","))
     if args.shift:
-        overrides["shift"] = True
-    return dataclasses.replace(config, **overrides)
+        flags["shift"] = True
+    return TrafficConfig(**flags)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--households", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
@@ -344,9 +339,16 @@ def main(argv: list[str] | None = None) -> int:
         "--expect-alarms", action="store_true",
         help="fail unless PSI, KS and Page–Hinkley all fire (shift gate)",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    config = _cli_config(args)
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _cli_config(args)
+    except ValueError as error:
+        parser.error(str(error))
     # The drive *is* a quality measurement: observability and the
     # decision monitor must be live regardless of the environment.
     set_obs_enabled(True)

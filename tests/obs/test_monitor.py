@@ -122,54 +122,22 @@ class TestBucketing:
         assert slices == {"angle": "<45", "device": "D1"}
 
 
-class TestEnvOverrides:
-    @pytest.fixture(autouse=True)
-    def fresh_warnings(self):
-        obs_control._WARNED.clear()
-        yield
-        obs_control._WARNED.clear()
+class TestConfigValidation:
+    def test_min_window_above_window_rejected(self):
+        # PSI/KS wait for min_window scores in a window that can never
+        # hold more than `window`: the pair must be consistent or both
+        # detectors silently never run.
+        with pytest.raises(ValueError, match="min_window"):
+            MonitorConfig(window=32)
 
-    def test_valid_override_applied(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_PSI", "0.5")
-        monkeypatch.setenv("REPRO_MONITOR_ANGLE_EDGES", "30,60")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = MonitorConfig.from_env()
-        assert config.psi_threshold == 0.5
-        assert config.angle_edges == (30.0, 60.0)
-
-    def test_malformed_float_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_PSI", "banana")
-        with pytest.warns(RuntimeWarning, match="REPRO_MONITOR_PSI"):
-            config = MonitorConfig.from_env()
-        assert config.psi_threshold == MonitorConfig().psi_threshold
-        # Second read: already warned, stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            MonitorConfig.from_env()
-
-    def test_non_positive_threshold_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_KS", "-1.0")
-        with pytest.warns(RuntimeWarning, match="REPRO_MONITOR_KS"):
-            config = MonitorConfig.from_env()
-        assert config.ks_coefficient == MonitorConfig().ks_coefficient
-
-    def test_malformed_edges_warn_and_fall_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_ANGLE_EDGES", "90,45")  # not increasing
-        with pytest.warns(RuntimeWarning, match="REPRO_MONITOR_ANGLE_EDGES"):
-            config = MonitorConfig.from_env()
-        assert config.angle_edges == MonitorConfig().angle_edges
-
-    def test_small_window_override_shrinks_min_window(self, monkeypatch):
-        # A window below the default minimum must pull min_window down
-        # with it, or the PSI/KS tests would silently never run.
-        monkeypatch.setenv("REPRO_MONITOR_WINDOW", "32")
-        config = MonitorConfig.from_env()
-        assert config.window == 32
-        assert config.min_window == 32
-        monkeypatch.delenv("REPRO_MONITOR_WINDOW")
-        default = MonitorConfig.from_env()
-        assert default.min_window == MonitorConfig().min_window
+    def test_small_window_with_matching_min_window_runs_psi(self):
+        monitor = DecisionMonitor(config=MonitorConfig(window=32, min_window=32))
+        for record in stream_records(3, shift_sigma=2.0):
+            monitor.consume(record)
+        alarms = monitor.snapshot()["alarms"]
+        assert any(
+            a["stream"] == "facing_probability" and a["detector"] == "psi" for a in alarms
+        )
 
 
 class TestStreamingConfusion:

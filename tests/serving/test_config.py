@@ -24,8 +24,6 @@ def _collect(action):
 class TestDefaults:
     def test_defaults_are_valid(self):
         config = ServingConfig()
-        assert config.frame_length == 2048
-        assert config.hop_length == 2048
         assert config.max_sessions >= 1
         assert config.port == 0
 
@@ -37,11 +35,6 @@ class TestDefaults:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"frame_length": 0},
-            {"min_frames": 0},
-            {"check_every": 0},
-            {"consecutive": 0},
-            {"facing_margin": -0.1},
             {"max_sessions": 0},
             {"ring_seconds": 0.0},
         ],
@@ -53,19 +46,13 @@ class TestDefaults:
 
 class TestEnvOverrides:
     def test_overrides_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_FRAME", "1024")
-        monkeypatch.setenv("REPRO_SERVING_HOP", "512")
-        monkeypatch.setenv("REPRO_SERVING_MIN_FRAMES", "6")
         monkeypatch.setenv("REPRO_SERVING_MAX_SESSIONS", "32")
-        monkeypatch.setenv("REPRO_SERVING_FACING_MARGIN", "0.2")
+        monkeypatch.setenv("REPRO_SERVING_RING_SECONDS", "3.5")
         monkeypatch.setenv("REPRO_SERVING_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_SERVING_PORT", "8099")
         config, warned = _collect(ServingConfig.from_env)
-        assert config.frame_length == 1024
-        assert config.hop_length == 512
-        assert config.min_frames == 6
         assert config.max_sessions == 32
-        assert config.facing_margin == 0.2
+        assert config.ring_seconds == 3.5
         assert config.host == "0.0.0.0"
         assert config.port == 8099
         assert warned == []
@@ -88,14 +75,14 @@ class TestEnvOverrides:
         assert len(warned) == 1
 
     def test_parseable_but_invalid_combination_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_FRAME", "-5")
+        monkeypatch.setenv("REPRO_SERVING_MAX_SESSIONS", "-5")
         config, warned = _collect(ServingConfig.from_env)
         assert config == ServingConfig()
         assert len(warned) == 1
         assert "invalid REPRO_SERVING_" in str(warned[0].message)
 
     def test_empty_value_is_ignored_silently(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_FRAME", "")
+        monkeypatch.setenv("REPRO_SERVING_MAX_SESSIONS", "")
         config, warned = _collect(ServingConfig.from_env)
-        assert config.frame_length == ServingConfig().frame_length
+        assert config.max_sessions == ServingConfig().max_sessions
         assert warned == []

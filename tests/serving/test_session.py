@@ -108,6 +108,30 @@ class TestModes:
         assert decision["kind"] == "uploaded"
         assert decision["gated"] is False
 
+    def test_gate_entered_mid_stream_judges_with_end_labels(
+        self, trained_pipeline, forward_capture, config, monkeypatch
+    ):
+        from repro.core import Mode
+
+        seen = []
+        evaluate = trained_pipeline.evaluate
+
+        def spy(capture, *args, **kwargs):
+            seen.append(kwargs)
+            return evaluate(capture, *args, **kwargs)
+
+        monkeypatch.setattr(trained_pipeline, "evaluate", spy)
+        session = DeviceSession("s12", trained_pipeline, config, mode=Mode.NORMAL)
+        assert session.begin_wake(now=0.0)["gated"] is False
+        _feed(session, forward_capture)
+        session.command("enter headtalk mode", now=0.5)
+        slices = {"source": "live-facing", "room": "lab"}
+        decision = session.end_wake(now=1.0, truth=True, slices=slices)
+        assert len(seen) == 1
+        assert seen[0]["truth"] is True and seen[0]["slices"] == slices
+        assert decision["gated"] is False
+        assert decision["accepted"] is not None
+
 
 class TestLifecycleErrors:
     def test_audio_outside_wake(self, trained_pipeline, forward_capture, config):

@@ -1,17 +1,23 @@
 """Traffic drive: gateway round trip, /quality live scrapes, gates."""
 
 import asyncio
+import dataclasses
 import json
+
+import pytest
 
 from repro.obs import set_obs_enabled
 from repro.obs import monitor as obs_monitor
 from repro.obs.live import LiveConfig
-from repro.obs.monitor import decision_monitor, monitor_snapshot
+from repro.obs.monitor import MonitorConfig, decision_monitor, monitor_snapshot
 from repro.serving import ServingConfig, ServingGateway
 from repro.serving.soak import StepClock, stream_problems
 from repro.traffic import CaptureBank, TrafficConfig, generate_city
+from repro.traffic import drive
 from repro.traffic.drive import (
     TRAFFIC_PSI_THRESHOLD,
+    _cli_config,
+    _parser,
     _traffic_monitor_config,
     drive_problems,
     run_city_sync,
@@ -173,12 +179,62 @@ class TestRunCity:
         clock = StepClock(10.0)
         assert clock() == 10.0 and clock() == 20.0
 
-    def test_traffic_psi_default_yields_to_explicit_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MONITOR_PSI", raising=False)
+    def test_traffic_monitor_config_alerts_psi_at_traffic_level(self):
         config = _traffic_monitor_config()
         assert config.psi_threshold == TRAFFIC_PSI_THRESHOLD
-        monkeypatch.setenv("REPRO_MONITOR_PSI", "0.2")
-        assert _traffic_monitor_config().psi_threshold == 0.2
+        assert dataclasses.replace(config, psi_threshold=0.25) == MonitorConfig()
+
+
+class TestCliConfig:
+    def test_every_flag_maps_onto_traffic_config(self):
+        args = _parser().parse_args(
+            [
+                "--households", "77",
+                "--seed", "5",
+                "--hours", "6.5",
+                "--rate", "3.0",
+                "--variants", "2",
+                "--rooms", "lab, home",
+                "--shift",
+                "--shift-hour", "3.0",
+                "--shift-factor", "4.0",
+                "--attack-mix", "0.25",
+                "--attack-sophistication", "2.0",
+            ]
+        )
+        assert _cli_config(args) == TrafficConfig(
+            households=77,
+            seed=5,
+            hours=6.5,
+            rate_per_household=3.0,
+            variants=2,
+            rooms=("lab", "home"),
+            shift=True,
+            shift_hour=3.0,
+            shift_factor=4.0,
+            attack_mix=0.25,
+            attack_sophistication=2.0,
+        )
+
+    def test_flags_not_given_keep_the_defaults(self):
+        assert _cli_config(_parser().parse_args([])) == TrafficConfig()
+        config = _cli_config(_parser().parse_args(["--rooms", "home", "--seed", "3"]))
+        assert config == TrafficConfig(rooms=("home",), seed=3)
+
+    def test_invalid_flag_exits_2_before_building_anything(self, monkeypatch, capsys):
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("a pipeline was built for an invalid config")
+
+        monkeypatch.setattr(drive, "build_pipeline", no_pipeline)
+        for argv, message in (
+            (["--households", "0"], "households must be >= 1"),
+            (["--attack-mix", "1"], "attack_mix must be in [0, 1)"),
+            (["--rooms", "garage"], "rooms must be a non-empty subset"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                drive.main(argv)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class _StubArray:
