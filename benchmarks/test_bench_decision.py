@@ -7,8 +7,8 @@ SVM) runs here in both precisions over the same rendered captures:
   deployment shape: one wake word, one decision) — its fingerprints
   must stay bit-stable;
 - the opt-in ``float32`` path through ``evaluate_batch`` (single-
-  precision FFTs + one batched transform per utterance group), which
-  must beat the float64 per-capture reference outright;
+  precision FFTs, still one correlation pass per capture), which must
+  beat the float64 per-capture reference outright;
 - the frame-granular ``pairwise_gcc_frames`` API against an equivalent
   per-frame loop — the batched transform must win.
 
@@ -140,12 +140,12 @@ def test_bench_decision_throughput(benchmark, record_result):
     record_result(
         ExperimentResult(
             experiment_id="R02",
-            title="Decision path: float32 + batched transforms vs float64 reference",
+            title="Decision path: float32 evaluate_batch vs float64 reference",
             headers=["path", "decisions_per_s", "speedup"],
             rows=[
                 {"path": "float64 per-capture", "decisions_per_s": round(float64_dps, 1), "speedup": 1.0},
                 {
-                    "path": "float32 batched",
+                    "path": "float32 evaluate_batch",
                     "decisions_per_s": round(float32_dps, 1),
                     "speedup": round(speedup, 2),
                 },

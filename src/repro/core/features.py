@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays.geometry import MicArray
-from ..dsp.gcc import pairwise_gcc, pairwise_gcc_batch
+from ..dsp.gcc import pairwise_gcc
 from ..dsp.precision import resolve_dtype
 from ..dsp.spectral import high_low_band_ratio, low_band_chunk_stats
 from ..dsp.stats import summary_vector, top_k_peaks, window_score
@@ -341,23 +341,11 @@ class OrientationFeatureExtractor:
         return features.astype(resolve_dtype(None), copy=False)
 
     def extract_batch(self, audios: list[DenoisedAudio]) -> np.ndarray:
-        """Feature matrix ``(n_utterances, n_features)``.
-
-        The per-pair correlations of the whole batch are computed in one
-        stacked FFT (:func:`repro.dsp.gcc.pairwise_gcc_batch`), which is
-        bit-identical to — and substantially faster than — extracting
-        each utterance alone.
-        """
+        """Feature matrix ``(n_utterances, n_features)``: one :meth:`extract` row each."""
         if not audios:
             raise ValueError("no utterances given")
         with span("features.extract_batch", n=len(audios)):
-            plan = plan_for(self.array)
-            batch = [_validated_channels(a, self.array, plan.max_lag) for a in audios]
-            with span("features.gcc", n=len(audios)):
-                gccs = pairwise_gcc_batch(batch, plan.pair_list, plan.max_lag)
-            return np.stack(
-                [self._finalize(a, gcc) for a, gcc in zip(audios, gccs)]
-            )
+            return np.stack([self.extract(a) for a in audios])
 
 
 @dataclass(frozen=True)
@@ -387,18 +375,11 @@ class GccOnlyFeatureExtractor:
         plan = plan_for(self.array)
         channels = _validated_channels(audio, self.array, plan.max_lag)
         gcc = pairwise_gcc(channels, plan.pair_list, plan.max_lag)
-        return self._finalize(gcc)
-
-    def _finalize(self, gcc: np.ndarray) -> np.ndarray:
-        tdoa_samples = np.argmax(gcc, axis=1) - self.max_lag
-        tdoas = tdoa_samples / self.array.sample_rate
+        tdoas = (np.argmax(gcc, axis=1) - plan.max_lag) / self.array.sample_rate
         return np.concatenate([gcc.ravel(), tdoas]).astype(resolve_dtype(None), copy=False)
 
     def extract_batch(self, audios: list[DenoisedAudio]) -> np.ndarray:
-        """Feature matrix ``(n_utterances, n_features)`` via one stacked FFT."""
+        """Feature matrix ``(n_utterances, n_features)``: one :meth:`extract` row each."""
         if not audios:
             raise ValueError("no utterances given")
-        plan = plan_for(self.array)
-        batch = [_validated_channels(a, self.array, plan.max_lag) for a in audios]
-        gccs = pairwise_gcc_batch(batch, plan.pair_list, plan.max_lag)
-        return np.stack([self._finalize(gcc) for gcc in gccs])
+        return np.stack([self.extract(a) for a in audios])

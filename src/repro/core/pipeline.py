@@ -10,10 +10,8 @@ detector and the orientation detector into a single
 4. reject ("non-facing") if the facing probability is below threshold;
 5. otherwise accept — only then would audio go to the cloud.
 
-``evaluate_batch`` runs the same gate over many captures at once,
-computing every capture's pairwise correlations in one stacked FFT; its
-decisions carry the same scores (bit-identical) as the one-at-a-time
-path, plus per-stage batch timings.
+``evaluate_batch`` runs the same gate over a list of captures, one
+capture at a time, and adds the summed per-stage timings of the batch.
 """
 
 from __future__ import annotations
@@ -125,7 +123,10 @@ class Decision:
 
 @dataclass(frozen=True)
 class BatchStageTimings:
-    """Wall-clock per pipeline stage for one ``evaluate_batch`` call."""
+    """Wall-clock per pipeline stage for one ``evaluate_batch`` call.
+
+    Each field sums the batch decisions' own measured stage times.
+    """
 
     n_captures: int
     preprocess_ms: float
@@ -466,15 +467,10 @@ class HeadTalkPipeline:
         truths: list | None = None,
         slices: list | None = None,
     ) -> BatchEvaluation:
-        """Run the gate over many captures with shared, batched DSP.
+        """Run the gate over many captures, one :meth:`evaluate` ladder each.
 
-        All captures that survive the speech gate (and, when enabled, the
-        liveness gate) have their pairwise GCC windows computed in one
-        stacked FFT via the extractor's batch path; scores and decisions
-        are bit-identical to calling :meth:`evaluate` per capture (the
-        per-model calls are kept per-row precisely so no batched matmul
-        can perturb a single float).  Timings are whole-batch per stage;
-        each returned ``Decision`` carries its stage's per-capture share.
+        Decisions are exactly those of :meth:`evaluate` per capture; the
+        returned timings sum each decision's measured stage times.
 
         ``truths`` / ``slices`` optionally carry one ground-truth label /
         slice-label dict per capture (``None`` entries allowed) for the
@@ -490,14 +486,19 @@ class HeadTalkPipeline:
         with profiled("pipeline.evaluate_batch"), span(
             "pipeline.evaluate_batch", n=len(captures)
         ):
-            evaluation = self._evaluate_batch(captures, check_liveness)
+            decisions = [self._evaluate_one(c, check_liveness) for c in captures]
+        timings = BatchStageTimings(
+            n_captures=len(decisions),
+            preprocess_ms=sum(d.preprocess_ms for d in decisions),
+            liveness_ms=sum(d.liveness_ms for d in decisions),
+            orientation_ms=sum(d.orientation_ms for d in decisions),
+        )
         if obs_enabled():
-            timings = evaluation.timings
             histogram_observe("pipeline.batch_stage_ms", timings.preprocess_ms, stage="preprocess")
             histogram_observe("pipeline.batch_stage_ms", timings.liveness_ms, stage="liveness")
             histogram_observe("pipeline.batch_stage_ms", timings.orientation_ms, stage="orientation")
             histogram_observe("pipeline.batch_per_capture_ms", timings.per_capture_ms)
-            for index, (capture, decision) in enumerate(zip(captures, evaluation.decisions)):
+            for index, (capture, decision) in enumerate(zip(captures, decisions)):
                 self._observe_decision(
                     "evaluate_batch",
                     capture,
@@ -507,161 +508,4 @@ class HeadTalkPipeline:
                     truth=None if truths is None else truths[index],
                     slices=None if slices is None else slices[index],
                 )
-        return evaluation
-
-    def _try_orientation(
-        self, audio: DenoisedAudio, healthy: tuple[int, ...] | None
-    ) -> tuple[float | None, str]:
-        """Facing probability, or ``(None, cause)`` for a fail-closed reject.
-
-        ``healthy`` selects the masked (surviving-pair) extraction; the
-        non-finite guard and the :data:`_FEATURE_ERRORS` boundary apply
-        on both paths, so a single corrupt utterance degrades only its
-        own decision.
-        """
-        try:
-            if healthy is not None:
-                features = self.extractor.extract_masked(audio, healthy)
-            else:
-                features = self.extractor.extract(audio)
-            return self._orientation_probability(features), ""
-        except _FEATURE_ERRORS as error:
-            return None, f"feature-error:{error}"
-
-    def _evaluate_batch(self, captures: list[Capture], check_liveness: bool) -> BatchEvaluation:
-        n = len(captures)
-        decisions: list[Decision | None] = [None] * n
-        for k, capture in enumerate(captures):
-            problem = self._capture_problem(capture)
-            if problem is not None:
-                decisions[k] = self._degraded_decision(problem)
-        render_idx = [k for k in range(n) if decisions[k] is None]
-
-        with span("pipeline.preprocess", n=len(render_idx)):
-            start = time.perf_counter()
-            audios = {k: preprocess(captures[k]) for k in render_idx}
-            preprocess_total = (time.perf_counter() - start) * 1000.0
-        preprocess_share = preprocess_total / len(render_idx) if render_idx else 0.0
-
-        healths: dict[int, ChannelHealth | None] = {}
-        details: dict[int, str] = {}
-        masked: dict[int, tuple[int, ...]] = {}
-        for k in render_idx:
-            health = audios[k].health
-            healths[k] = health
-            if health is None or not health.is_degraded:
-                details[k] = ""
-                continue
-            details[k] = _describe_health(health)
-            if len(health.healthy) < 2:
-                decisions[k] = self._degraded_decision(
-                    f"no-healthy-pair;{details[k]}", preprocess_share, health=health
-                )
-            else:
-                masked[k] = health.healthy
-
-        reasons: dict[int, str] = {}
-        liveness_scores = [0.0] * n
-        facing = [0.0] * n
-        speech_idx = [
-            k for k in render_idx if decisions[k] is None and audios[k].had_speech
-        ]
-        for k in render_idx:
-            if decisions[k] is None and not audios[k].had_speech:
-                reasons[k] = REJECT_NO_SPEECH
-
-        liveness_total = 0.0
-        live_idx = list(speech_idx)
-        if check_liveness and speech_idx:
-            with span("pipeline.liveness", n=len(speech_idx)):
-                start = time.perf_counter()
-                live_idx = []
-                for k in speech_idx:
-                    score = self._liveness_score(audios[k])
-                    liveness_scores[k] = score
-                    if not np.isfinite(score):
-                        decisions[k] = self._degraded_decision(
-                            "non-finite-liveness-score",
-                            preprocess_share,
-                            health=healths[k],
-                        )
-                        liveness_scores[k] = 0.0
-                    elif score < self.config.liveness_threshold:
-                        reasons[k] = REJECT_MECHANICAL
-                    else:
-                        live_idx.append(k)
-                liveness_total = (time.perf_counter() - start) * 1000.0
-        elif not check_liveness:
-            for k in speech_idx:
-                liveness_scores[k] = 1.0
-
-        orientation_total = 0.0
-        if live_idx:
-            with span("pipeline.orientation", n=len(live_idx)):
-                start = time.perf_counter()
-                batch_idx = [k for k in live_idx if k not in masked]
-                rows: dict[int, np.ndarray] = {}
-                if batch_idx:
-                    try:
-                        stacked = self.extractor.extract_batch(
-                            [audios[k] for k in batch_idx]
-                        )
-                        rows = dict(zip(batch_idx, stacked))
-                    except _FEATURE_ERRORS:
-                        # One bad utterance must not poison the whole
-                        # batch: fall back to per-capture extraction
-                        # (bit-identical to the batch path) so only the
-                        # offender degrades.
-                        rows = {}
-                for k in live_idx:
-                    if k in rows:
-                        try:
-                            probability, cause = self._orientation_probability(rows[k]), ""
-                        except _FEATURE_ERRORS as error:
-                            probability, cause = None, f"feature-error:{error}"
-                    else:
-                        probability, cause = self._try_orientation(
-                            audios[k], masked.get(k)
-                        )
-                    if probability is None:
-                        decisions[k] = self._degraded_decision(
-                            cause,
-                            preprocess_share,
-                            liveness_score=liveness_scores[k],
-                            health=healths[k],
-                        )
-                    else:
-                        facing[k] = probability
-                        reasons[k] = (
-                            ACCEPT
-                            if probability >= self.config.facing_threshold
-                            else REJECT_NON_FACING
-                        )
-                orientation_total = (time.perf_counter() - start) * 1000.0
-
-        liveness_share = liveness_total / len(speech_idx) if speech_idx else 0.0
-        orientation_share = orientation_total / len(live_idx) if live_idx else 0.0
-        for k in range(n):
-            if decisions[k] is not None:
-                continue
-            reason = reasons[k]
-            health = healths.get(k)
-            decisions[k] = Decision(
-                accepted=reason == ACCEPT,
-                reason=reason,
-                liveness_score=liveness_scores[k],
-                facing_probability=facing[k],
-                liveness_ms=liveness_share if k in speech_idx and check_liveness else 0.0,
-                orientation_ms=orientation_share if k in live_idx else 0.0,
-                preprocess_ms=preprocess_share,
-                degraded=health is not None and health.is_degraded,
-                detail=details.get(k, ""),
-                health=health,
-            )
-        timings = BatchStageTimings(
-            n_captures=n,
-            preprocess_ms=preprocess_total,
-            liveness_ms=liveness_total,
-            orientation_ms=orientation_total,
-        )
         return BatchEvaluation(decisions=decisions, timings=timings)

@@ -31,12 +31,6 @@ from .collection import (
 )
 from .store import LivenessDataset, OrientationDataset, UtteranceMeta
 
-_EXTRACT_CHUNK = 64
-"""Captures per stacked-FFT feature extraction call.
-
-Bounds the transient memory of the batched GCC (one rfft buffer per
-capture in the chunk) while keeping the FFT large enough to amortize."""
-
 WAKE_WORDS = ("hey assistant", "computer", "amazon")
 DEVICES = ("D1", "D2", "D3")
 ROOMS = ("lab", "home")
@@ -93,8 +87,8 @@ def build_orientation_dataset(
     """Render sweeps and extract orientation features (cached).
 
     ``workers`` fans the rendering out over a process pool (see
-    :func:`repro.datasets.collection.collect`); feature extraction runs
-    the chunked stacked-FFT path either way.  The cache key excludes
+    :func:`repro.datasets.collection.collect`); features are extracted
+    one capture at a time either way.  The cache key excludes
     ``workers`` because every path is byte-identical.
     """
     key = ("orient", specs, seed, gcc_only)
@@ -104,19 +98,13 @@ def build_orientation_dataset(
     metas: list[UtteranceMeta] = []
     for spec in specs:
         extractor = _extractor_for(spec, gcc_only)
-        pending: list = []
         for meta, capture in collect(spec, seed, workers=workers):
-            pending.append(preprocess(capture))
+            rows.append(extractor.extract(preprocess(capture)))
             metas.append(meta)
-            if len(pending) >= _EXTRACT_CHUNK:
-                rows.append(extractor.extract_batch(pending))
-                pending = []
-        if pending:
-            rows.append(extractor.extract_batch(pending))
     if not rows:
         raise ValueError("no utterances rendered")
     dataset = OrientationDataset(
-        X=np.concatenate(rows, axis=0),
+        X=np.stack(rows),
         meta=metas,
         extractor_name="gcc-only" if gcc_only else "headtalk",
     )

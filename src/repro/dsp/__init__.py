@@ -15,7 +15,6 @@ from .gcc import (
     gcc_phat,
     lag_axis,
     pairwise_gcc,
-    pairwise_gcc_batch,
     pairwise_gcc_frames,
     pairwise_gcc_framewise,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "mean_power_spectrum",
     "octave_band_edges",
     "pairwise_gcc",
-    "pairwise_gcc_batch",
     "power_spectrogram",
     "resample",
     "Segment",

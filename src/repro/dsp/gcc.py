@@ -21,8 +21,6 @@ hot path.  Granularities, coarse to fine:
 
 - :func:`gcc_phat` — one pair of one capture;
 - :func:`pairwise_gcc` — all pairs of one capture, one FFT per channel;
-- :func:`pairwise_gcc_batch` — all pairs of *many captures* in stacked
-  FFTs;
 - :func:`pairwise_gcc_frames` — all *frames* x pairs of one capture in
   one batched rfft/irfft (the API the streaming gateway consumes).
 """
@@ -86,11 +84,6 @@ def _lag_window(corr: np.ndarray, max_lag: int) -> np.ndarray:
     if max_lag == 0:
         return corr[..., :1]
     return np.concatenate([corr[..., -max_lag:], corr[..., : max_lag + 1]], axis=-1)
-
-
-def _phat_correlate(spectra_a: np.ndarray, spectra_b: np.ndarray, n_fft: int, max_lag: int, fft) -> np.ndarray:
-    """Whitened cross-spectrum -> lag window, over any batch shape."""
-    return _phat_window(spectra_a * np.conj(spectra_b), n_fft, max_lag, fft)
 
 
 def _phat_window(cross: np.ndarray, n_fft: int, max_lag: int, fft) -> np.ndarray:
@@ -219,64 +212,6 @@ def pairwise_gcc(
     return rows
 
 
-def pairwise_gcc_batch(
-    batch: Sequence[np.ndarray],
-    pairs: list[tuple[int, int]],
-    max_lag: int,
-    dtype=None,
-) -> np.ndarray:
-    """Vectorized :func:`pairwise_gcc` over a batch of captures.
-
-    All captures' channel spectra are computed in stacked FFTs (grouped
-    by FFT length, since the power-of-two sizing quantizes lengths) and
-    every pair's whitened cross-spectrum is inverted in one batched
-    ``irfft``.  Results are bit-identical to calling :func:`pairwise_gcc`
-    per capture — the batch path is a pure re-grouping of the same
-    transforms.
-
-    Parameters
-    ----------
-    batch:
-        Sequence of ``(n_mics, n_samples_k)`` arrays; ``n_mics`` must
-        agree across the batch, lengths may differ.
-
-    Returns
-    -------
-    ``(len(batch), len(pairs), 2 * max_lag + 1)`` array.
-    """
-    dtype = resolve_dtype(dtype)
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
-    arrays = [_validate_channels(c, dtype) for c in batch]
-    n_mics = arrays[0].shape[0]
-    for a in arrays:
-        if a.shape[0] != n_mics:
-            raise ValueError("all captures in a batch must share n_mics")
-    _validate_pairs(pairs, n_mics)
-
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
-    out = np.empty((len(arrays), len(pairs), 2 * max_lag + 1), dtype=dtype)
-    fft = fft_api(dtype)
-
-    groups: dict[int, list[int]] = {}
-    for k, a in enumerate(arrays):
-        groups.setdefault(_fft_length(2 * a.shape[1], max_lag), []).append(k)
-
-    for n_fft, members in groups.items():
-        longest = max(arrays[k].shape[1] for k in members)
-        stacked = np.zeros((len(members), n_mics, longest), dtype=dtype)
-        for slot, k in enumerate(members):
-            stacked[slot, :, : arrays[k].shape[1]] = arrays[k]
-        spectra = fft.rfft(stacked, n_fft, axis=-1)  # (g, n_mics, nf)
-        windows = _phat_correlate(spectra[:, i_idx], spectra[:, j_idx], n_fft, max_lag, fft)
-        for slot, k in enumerate(members):
-            out[k] = windows[slot]
-    return out
-
-
 def extract_frames(
     channels: np.ndarray,
     frame_length: int,
@@ -343,7 +278,7 @@ def pairwise_gcc_frames(
 
     Every frame x channel spectrum is computed in one batched ``rfft``
     and every frame x pair whitened cross-spectrum inverted in one
-    batched ``irfft`` — frame-granular :func:`pairwise_gcc_batch`.
+    batched ``irfft``.
     Results match calling :func:`pairwise_gcc` on each frame of
     :func:`extract_frames` separately to within a unit in the last
     place: the transforms are re-grouped, not changed, but numpy's

@@ -99,7 +99,11 @@ def run(
         {"stage": "preprocess", "mean_ms": float(np.mean(preprocess_ms)), "p95_ms": float(np.percentile(preprocess_ms, 95))},
         {"stage": "liveness", "mean_ms": float(np.mean(liveness_ms)), "p95_ms": float(np.percentile(liveness_ms, 95))},
         {"stage": "orientation", "mean_ms": float(np.mean(orientation_ms)), "p95_ms": float(np.percentile(orientation_ms, 95))},
-        {"stage": "batch-per-capture", "mean_ms": batch.timings.per_capture_ms, "p95_ms": batch.timings.per_capture_ms},
+        {
+            "stage": "batch-per-capture",
+            "mean_ms": batch.timings.per_capture_ms,
+            "p95_ms": float(np.percentile([d.total_ms for d in batch], 95)),
+        },
     ]
     total = sum(r["mean_ms"] for r in rows[:3])
     return ExperimentResult(

@@ -160,3 +160,29 @@ class TestHardenedGccOnce:
         assert decision.liveness_score == liveness
         if decision.reason in (ACCEPT, REJECT_NON_FACING):
             assert decision.facing_probability == facing
+
+    def test_batch_correlates_once_per_capture(self, request, hardened, monkeypatch):
+        import repro.core.features as features
+
+        names = ["forward_capture", "backward_capture", "side_capture", "replay_capture"]
+        captures = [request.getfixturevalue(name) for name in names]
+        correlated = []  # one entry per whole-utterance correlation
+        original = features.pairwise_gcc
+        original_batch = getattr(features, "pairwise_gcc_batch", None)
+
+        def counted(*args, **kwargs):
+            correlated.append(1)
+            return original(*args, **kwargs)
+
+        def counted_batch(batch, *args, **kwargs):
+            correlated.extend([1] * len(batch))
+            return original_batch(batch, *args, **kwargs)
+
+        monkeypatch.setattr(features, "pairwise_gcc", counted)
+        monkeypatch.setattr(features, "pairwise_gcc_batch", counted_batch, raising=False)
+        batch = hardened.evaluate_batch(captures)
+        assert len(correlated) == len(captures)
+
+        monkeypatch.setattr(features, "pairwise_gcc", original)
+        for capture, decision in zip(captures, batch):
+            assert decision.fingerprint() == hardened.evaluate(capture).fingerprint()

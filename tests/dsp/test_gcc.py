@@ -11,7 +11,6 @@ from repro.dsp import (
     gcc_phat,
     lag_axis,
     pairwise_gcc,
-    pairwise_gcc_batch,
     pairwise_gcc_frames,
     precision,
 )
@@ -184,32 +183,6 @@ class TestSignConventionAgainstGeometry:
         assert round(tdoa * fs) == expected[0]
 
 
-class TestPairwiseGccBatch:
-    def test_matches_serial_bitwise(self):
-        rng = np.random.default_rng(2)
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        batch = [rng.standard_normal((3, n)) for n in (1024, 1024, 900)]
-        stacked = pairwise_gcc_batch(batch, pairs, max_lag=9)
-        assert stacked.shape == (3, 3, 19)
-        for got, channels in zip(stacked, batch):
-            assert np.array_equal(got, pairwise_gcc(channels, pairs, max_lag=9))
-
-    def test_mixed_fft_lengths_grouped(self):
-        """Captures whose lengths quantize to different FFT sizes."""
-        rng = np.random.default_rng(3)
-        pairs = [(0, 1)]
-        batch = [rng.standard_normal((2, n)) for n in (500, 2000, 600, 1500)]
-        stacked = pairwise_gcc_batch(batch, pairs, max_lag=6)
-        for got, channels in zip(stacked, batch):
-            assert np.array_equal(got, pairwise_gcc(channels, pairs, max_lag=6))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            pairwise_gcc_batch([], [(0, 1)], 4)
-        with pytest.raises(ValueError, match="n_mics"):
-            pairwise_gcc_batch([np.zeros((2, 64)), np.zeros((3, 64))], [(0, 2)], 4)
-
-
 class TestExtractFrames:
     def test_shape_and_synchronized_slices(self):
         rng = np.random.default_rng(0)
@@ -306,15 +279,6 @@ class TestDtypeThreading:
         c32 = gcc_phat(a, b, max_lag=10, dtype=np.float32)
         assert int(np.argmax(c32)) == int(np.argmax(c64))
         assert np.allclose(c32, c64, atol=1e-4)
-
-    def test_batch_float32_matches_serial_float32(self):
-        rng = np.random.default_rng(9)
-        pairs = [(0, 1), (1, 2)]
-        batch = [rng.standard_normal((3, n)) for n in (700, 900)]
-        stacked = pairwise_gcc_batch(batch, pairs, 7, dtype=np.float32)
-        assert stacked.dtype == np.float32
-        for got, channels in zip(stacked, batch):
-            assert np.array_equal(got, pairwise_gcc(channels, pairs, 7, dtype=np.float32))
 
 
 class TestTruncationWarning:
